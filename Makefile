@@ -17,8 +17,8 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# The determinism-contract analyzers (internal/lint: nodeterm, maporder,
-# hashfield, snapfields, allowcheck) driven through the standard vet
+# The four determinism-contract analyzers (internal/lint: nodeterm,
+# maporder, hashfield, allowcheck) driven through the standard vet
 # harness. Exits nonzero on any diagnostic; see docs/DETERMINISM.md for
 # the rules and the //tcpz:allow suppression syntax.
 lint:
@@ -52,7 +52,6 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzChallengeRoundTrip -fuzztime=10s ./tcpopt
 	$(GO) test -fuzz=FuzzCookieRoundTrip -fuzztime=10s ./syncookie
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=10s ./puzzlenet
-	$(GO) test -fuzz=FuzzSpeculativeEquivalence -fuzztime=10s ./internal/netsim
 
 # Real-network robustness smoke (docs/ROBUSTNESS.md): the fault-injected
 # chaos suite under the race detector, then a self-hosted tcpz-load run

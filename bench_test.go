@@ -1,7 +1,7 @@
 // Package tcppuzzles_test hosts the benchmark harness: one benchmark per
 // table and figure in the paper's evaluation (§6), plus microbenchmarks of
-// the puzzle primitives and ablation benches for the design choices called
-// out in DESIGN.md.
+// the puzzle primitives and ablation benches for the design choices mapped
+// in docs/EXPERIMENTS.md.
 //
 // Run with:
 //
@@ -164,34 +164,6 @@ func BenchmarkShardedFlood(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			sc := shardedFloodScenario()
 			sc.Shards = shards
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(sc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.EffectiveAttackRate, "attacker-cps")
-			}
-		})
-	}
-}
-
-// BenchmarkSpeculativeFlood runs the BenchmarkShardedFlood deployment
-// under speculative execution: shards run a full quantum past their
-// lookahead bound, snapshot their state, and roll back when a straggler
-// cross-shard packet lands behind the speculative horizon. Results are
-// byte-identical to the conservative run at every shard count
-// (TestSpeculativeShardDeterminismMatrix); the interesting quantity is
-// the wall-clock delta versus BenchmarkShardedFlood — speculation trades
-// snapshot and rollback work for fewer barriers, so it wins only when
-// lookahead is tight relative to event density and cores are real. The
-// measured curve (and the single-core caveat) is recorded in
-// BENCH_shards.json.
-func BenchmarkSpeculativeFlood(b *testing.B) {
-	for _, shards := range shardCounts() {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			sc := shardedFloodScenario()
-			sc.Shards = shards
-			sc.Speculative = true
 			for i := 0; i < b.N; i++ {
 				res, err := sim.Run(sc)
 				if err != nil {

@@ -1,6 +1,6 @@
-// Command tcpz-vet runs the repo's determinism-contract analyzer suite
-// (internal/lint): nodeterm, maporder, hashfield, snapfields, plus
-// validation of the //tcpz:allow suppression annotations.
+// Command tcpz-vet runs the repo's four determinism-contract analyzers
+// (internal/lint): nodeterm, maporder and hashfield, plus allowcheck,
+// which validates the //tcpz:allow suppression annotations.
 //
 // Two ways to drive it:
 //

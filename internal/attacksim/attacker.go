@@ -146,14 +146,6 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 // Addr implements netsim.Node.
 func (b *Bot) Addr() netsim.Addr { return b.cfg.Addr }
 
-// SnapshotState implements netsim.Snapshotter: a deep capture of the bot,
-// its strategy instance, RNG, CPU model, and metrics, so speculative
-// shard execution can roll the bot back to a committed window.
-func (b *Bot) SnapshotState() any { return netsim.CaptureState(b) }
-
-// RestoreState implements netsim.Snapshotter.
-func (b *Bot) RestoreState(state any) { state.(*netsim.StateSnap).Restore() }
-
 // Metrics exposes the bot measurements.
 func (b *Bot) Metrics() *Metrics { return b.metrics }
 

@@ -207,14 +207,6 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 // Addr implements netsim.Node.
 func (c *Client) Addr() netsim.Addr { return c.cfg.Addr }
 
-// SnapshotState implements netsim.Snapshotter: a deep capture of the
-// client, its connections, CPU model, and metrics, so speculative shard
-// execution can roll the client back to a committed window.
-func (c *Client) SnapshotState() any { return netsim.CaptureState(c) }
-
-// RestoreState implements netsim.Snapshotter.
-func (c *Client) RestoreState(state any) { state.(*netsim.StateSnap).Restore() }
-
 // Metrics exposes the measurement state.
 func (c *Client) Metrics() *Metrics { return c.metrics }
 

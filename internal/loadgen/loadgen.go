@@ -241,6 +241,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	ctx, cancel := context.WithTimeout(ctx, cfg.Duration)
 	defer cancel()
+	// A dial or echo that fails at the run's deadline is the run ending,
+	// not an error: a socket deadline taken from ctx can fire a little
+	// before ctx.Done closes, so ctx.Err alone miscounts those failures.
+	deadline, _ := ctx.Deadline()
+	failedInRun := func() bool { return ctx.Err() == nil && time.Now().Before(deadline) }
 
 	var (
 		mu     sync.Mutex
@@ -268,7 +273,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				if err != nil {
 					if errors.Is(err, puzzlenet.ErrRejected) {
 						rejected.Add(1)
-					} else if ctx.Err() == nil {
+					} else if failedInRun() {
 						clientErrs.Add(1)
 					}
 					continue
@@ -278,7 +283,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				_, rerr := io.ReadFull(conn, buf)
 				_ = conn.Close()
 				if werr != nil || rerr != nil {
-					if ctx.Err() == nil {
+					if failedInRun() {
 						clientErrs.Add(1)
 					}
 					continue

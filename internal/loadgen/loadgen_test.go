@@ -3,6 +3,8 @@ package loadgen
 import (
 	"context"
 	"math"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -130,5 +132,60 @@ func TestPacerRate(t *testing.T) {
 	// First step fires immediately; four more at 10ms spacing.
 	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
 		t.Errorf("5 steps at 100/s took %v, want >= 40ms of pacing", elapsed)
+	}
+}
+
+// TestRunDeadlineFailuresAreNotErrors pins the honest-error count at the
+// run's end: against a target that accepts and never answers, every
+// preamble is still waiting when the run's deadline passes, and its
+// "i/o timeout" can surface a little before the context reports done. A
+// failure at or after the deadline is the run ending, not an error.
+func TestRunDeadlineFailuresAreNotErrors(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		held  []net.Conn
+		drain sync.WaitGroup
+	)
+	drain.Add(1)
+	go func() {
+		defer drain.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		drain.Wait()
+		for _, c := range held {
+			c.Close()
+		}
+	})
+
+	for i := 0; i < 20; i++ {
+		report, err := Run(context.Background(), Config{
+			Target:           ln.Addr().String(),
+			Duration:         30 * time.Millisecond,
+			Clients:          4,
+			HandshakeTimeout: time.Second,
+		})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if report.Handshakes != 0 {
+			t.Fatalf("run %d: %d handshakes against a silent target", i, report.Handshakes)
+		}
+		if report.Errors != 0 {
+			t.Fatalf("run %d: %d errors; failures at the run's deadline must not count", i, report.Errors)
+		}
 	}
 }

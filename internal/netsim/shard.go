@@ -37,11 +37,7 @@ func (n *Network) Run(until time.Duration) {
 		n.Eng.Run(until)
 		return
 	}
-	if n.speculative && len(n.taps) == 0 {
-		// Optimistic execution (see spec.go). Taps force the conservative
-		// path: they would observe packets from rolled-back executions.
-		n.runSpeculative(until)
-	} else if la, ok := n.lookaheads(); ok {
+	if la, ok := n.lookaheads(); ok {
 		n.runWindows(until, la)
 	} else {
 		n.runMerged(until)

@@ -66,23 +66,7 @@ func (n *echoNode) tick() {
 // order effects (lastAt) and link statistics.
 func echoFingerprint(t *testing.T, shards, nodes int, link LinkConfig, dur time.Duration) string {
 	t.Helper()
-	out, _ := echoMeshRun(t, shards, nodes, link, dur, 100, nil)
-	return out
-}
-
-// echoMeshRun is the configurable core behind echoFingerprint and the
-// speculative differential tests: tune (may be nil) adjusts the freshly
-// built network — e.g. enabling speculation — before nodes attach, seed
-// offsets every node's RNG stream, and the run's ShardStats come back
-// alongside the fingerprint.
-func echoMeshRun(tb testing.TB, shards, nodes int, link LinkConfig, dur time.Duration, seed int64, tune func(*Network)) (string, ShardStats) {
-	if t, ok := tb.(*testing.T); ok {
-		t.Helper()
-	}
 	net := NewSharded(shards)
-	if tune != nil {
-		tune(net)
-	}
 	addrs := make([]Addr, nodes)
 	for i := range addrs {
 		addrs[i] = Addr{10, 0, byte(i / 200), byte(1 + i%200)}
@@ -97,11 +81,11 @@ func echoMeshRun(tb testing.TB, shards, nodes int, link LinkConfig, dur time.Dur
 		}
 		ens[i] = &echoNode{
 			addr: addr, eng: net.EngineFor(addr), net: net,
-			rnd: rand.New(rand.NewSource(seed + int64(i))), peers: peers,
+			rnd: rand.New(rand.NewSource(int64(100 + i))), peers: peers,
 			rate: 200, stopAt: dur, byPeer: map[Addr]uint64{},
 		}
 		if err := net.Attach(ens[i], link); err != nil {
-			tb.Fatalf("Attach(%v): %v", addr, err)
+			t.Fatalf("Attach(%v): %v", addr, err)
 		}
 		ens[i].eng.Schedule(0, ens[i].tick)
 	}
@@ -118,7 +102,7 @@ func echoMeshRun(tb testing.TB, shards, nodes int, link LinkConfig, dur time.Dur
 		out += fmt.Sprintf("  up=%+v down=%+v\n", up, down)
 	}
 	out += fmt.Sprintf("unroutable=%d\n", net.Unroutable())
-	return out, net.ShardStats()
+	return out
 }
 
 // TestShardedEchoMeshByteIdentical is the engine-level half of the repo's

@@ -27,8 +27,9 @@
 //	sol, _, _ := puzzle.Solve(ch)
 //	err := issuer.Verify(flow, sol)
 //
-// See README.md for the architecture overview, DESIGN.md for the system
-// inventory, and EXPERIMENTS.md for paper-vs-measured results.
+// See README.md for the architecture overview and package map,
+// docs/EXPERIMENTS.md for the map from every reproduced figure and table
+// to its driver, and docs/DETERMINISM.md for the determinism contract.
 package tcppuzzles
 
 import (
