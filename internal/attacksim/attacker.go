@@ -103,6 +103,9 @@ type Bot struct {
 	nextPort uint32
 	awaiting map[uint16]uint32 // port → client ISN for in-flight handshakes
 
+	// tickFn is b.tick bound once, so rescheduling allocates no closure.
+	tickFn func()
+
 	metrics *Metrics
 }
 
@@ -127,6 +130,7 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 		awaiting: make(map[uint16]uint32),
 		metrics:  attack.NewMetrics(cfg.MetricBucket),
 	}
+	b.tickFn = b.tick
 	strategy, err := attack.New(cfg.Attack, botCtx{b})
 	if err != nil {
 		return nil, fmt.Errorf("attacksim: %w", err)
@@ -138,7 +142,7 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 	if cfg.Rate > 0 {
 		// Jitter the start so bots don't tick in lockstep.
 		jitter := time.Duration(b.rnd.Int63n(int64(time.Second / 4)))
-		eng.ScheduleAt(cfg.StartAt+jitter, b.tick)
+		eng.ScheduleAt(cfg.StartAt+jitter, b.tickFn)
 	}
 	return b, nil
 }
@@ -162,7 +166,7 @@ func (b *Bot) tick() {
 		return
 	}
 	b.strategy.Tick(botCtx{b})
-	b.eng.Schedule(time.Duration(float64(time.Second)/b.cfg.Rate), b.tick)
+	b.eng.Schedule(time.Duration(float64(time.Second)/b.cfg.Rate), b.tickFn)
 }
 
 // Handle implements netsim.Node: filter server traffic, account deception
@@ -185,11 +189,8 @@ func (b *Bot) Handle(seg tcpkit.Segment) {
 	}
 	delete(b.awaiting, seg.DstPort)
 
-	opts, err := tcpopt.ParseOptions(seg.Options)
-	if err != nil {
-		opts = nil
-	}
-	chOpt, challenged := tcpopt.FindOption(opts, tcpopt.KindChallenge)
+	// A malformed options area reads as unchallenged.
+	chOpt, challenged, _ := tcpopt.FindOption(seg.Options, tcpopt.KindChallenge)
 	b.strategy.OnSynAck(botCtx{b}, attack.SynAck{
 		Port: seg.DstPort, ISN: isn, ServerISN: seg.Seq,
 		Challenge: chOpt, Challenged: challenged,

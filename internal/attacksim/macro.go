@@ -221,7 +221,8 @@ func (f *MacroFleet) scheduleBatches() {
 			hi = len(order)
 		}
 		b := &macroBatch{f: f, slots: order[lo:hi]}
-		f.eng.ScheduleAt(f.start[b.slots[0]], b.run)
+		b.runFn = b.run
+		f.eng.ScheduleAt(f.start[b.slots[0]], b.runFn)
 	}
 }
 
@@ -233,6 +234,8 @@ type macroBatch struct {
 	f     *MacroFleet
 	slots []int32
 	round int64
+	// runFn is b.run bound once, so rescheduling allocates no closure.
+	runFn func()
 }
 
 func (b *macroBatch) run() {
@@ -253,7 +256,7 @@ func (b *macroBatch) run() {
 		f.tickSlot(slot, t)
 	}
 	b.round++
-	f.eng.ScheduleAt(f.start[b.slots[0]]+time.Duration(b.round)*f.period, b.run)
+	f.eng.ScheduleAt(f.start[b.slots[0]]+time.Duration(b.round)*f.period, b.runFn)
 }
 
 // tickSlot runs one source's strategy tick at virtual time t.
@@ -296,11 +299,8 @@ func (f *MacroFleet) handle(slot int32, seg tcpkit.Segment) {
 	}
 	delete(f.awaiting, key)
 
-	opts, err := tcpopt.ParseOptions(seg.Options)
-	if err != nil {
-		opts = nil
-	}
-	chOpt, challenged := tcpopt.FindOption(opts, tcpopt.KindChallenge)
+	// A malformed options area reads as unchallenged.
+	chOpt, challenged, _ := tcpopt.FindOption(seg.Options, tcpopt.KindChallenge)
 	ctx := macroCtx{f: f, slot: slot, vt: f.eng.Now()}
 	f.strategyFor(slot, ctx).OnSynAck(ctx, attack.SynAck{
 		Port: seg.DstPort, ISN: isn, ServerISN: seg.Seq,

@@ -170,6 +170,10 @@ type Client struct {
 	nextPort uint32
 	conns    map[uint16]*cconn
 
+	// arrivalFn is c.arrival bound once, so rescheduling allocates no
+	// closure.
+	arrivalFn func()
+
 	metrics *Metrics
 }
 
@@ -192,6 +196,7 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 			Failures:  stats.NewSeries(cfg.MetricBucket),
 		},
 	}
+	c.arrivalFn = c.arrival
 	if cfg.SketchConnTimes {
 		c.metrics.ConnSketch = stats.NewSummarySketch(0.10, 0.50, 0.90)
 	}
@@ -199,7 +204,7 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 		return nil, fmt.Errorf("clientsim: %w", err)
 	}
 	if cfg.Rate > 0 {
-		c.eng.ScheduleAt(cfg.StartAt, c.arrival)
+		c.eng.ScheduleAt(cfg.StartAt, c.arrivalFn)
 	}
 	return c, nil
 }
@@ -227,7 +232,7 @@ func (c *Client) arrival() {
 		c.Connect()
 	}
 	delay := time.Duration(c.rnd.ExpFloat64() / c.cfg.Rate * float64(time.Second))
-	c.eng.Schedule(delay, c.arrival)
+	c.eng.Schedule(delay, c.arrivalFn)
 }
 
 // Connect opens one connection attempt.
@@ -317,11 +322,8 @@ func (c *Client) onSynAck(cc *cconn, seg tcpkit.Segment) {
 	cc.rtoEv.Cancel()
 	cc.rtoEv = netsim.Timer{}
 	serverISN := seg.Seq
-	opts, err := tcpopt.ParseOptions(seg.Options)
-	if err != nil {
-		opts = nil
-	}
-	chOpt, challenged := tcpopt.FindOption(opts, tcpopt.KindChallenge)
+	// A malformed options area reads as unchallenged.
+	chOpt, challenged, _ := tcpopt.FindOption(seg.Options, tcpopt.KindChallenge)
 	if challenged && c.cfg.Solves {
 		blk, err := tcpopt.ParseChallenge(chOpt)
 		if err != nil {

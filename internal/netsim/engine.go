@@ -12,7 +12,8 @@
 // rather than by scheduling order.
 //
 // The scheduling hot path is allocation-free in steady state: events are
-// plain structs recycled through a per-engine free-list, the pending queue
+// plain structs carved from 256-event slab chunks and then recycled
+// through a per-engine free-list, the pending queue
 // is a monomorphic 4-ary min-heap specialised for *Event (no interface
 // boxing, no container/heap indirection), and packet deliveries carry
 // their payload as a typed message on the event itself — dispatched by a
@@ -127,6 +128,10 @@ type Engine struct {
 	// free is the event pool. Steady-state simulation cycles events
 	// between pq and free without touching the allocator.
 	free []*Event
+	// slab is the unused tail of the current event chunk: when free is
+	// dry, alloc carves events from it, so a cold engine pays one
+	// allocation per slabSize events instead of one per event.
+	slab []Event
 	// net dispatches kindArrival/kindDeliver events; set when the engine
 	// is owned by a Network. A standalone engine only sees kindFunc.
 	net *Network
@@ -138,9 +143,12 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current simulation time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// alloc takes an event from the free-list (or the allocator when the pool
-// is dry). Pool entries were scrubbed by recycle, so every field except
-// gen starts zero.
+// slabSize is the number of events one slab chunk holds.
+const slabSize = 256
+
+// alloc takes an event from the free-list, or carves a fresh one from the
+// current slab chunk when the pool is dry. Pool entries were scrubbed by
+// recycle, so every field except gen starts zero.
 func (e *Engine) alloc() *Event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
@@ -148,7 +156,12 @@ func (e *Engine) alloc() *Event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	return &Event{}
+	if len(e.slab) == 0 {
+		e.slab = make([]Event, slabSize)
+	}
+	ev := &e.slab[0]
+	e.slab = e.slab[1:]
+	return ev
 }
 
 // recycle scrubs a finished event and returns it to the pool. The

@@ -167,6 +167,35 @@ func TestSchedulingSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// A cold engine carves events from slab chunks: scheduling n events costs
+// one allocation per slabSize events plus the pending heap's growth, not
+// one per event.
+func TestColdEngineSlabAllocs(t *testing.T) {
+	const n = 10000
+	// The heap's growth is whatever append does for n pointers.
+	var pq []*Event
+	heapGrowth := 0
+	for i := 0; i < n; i++ {
+		if len(pq) == cap(pq) {
+			heapGrowth++
+		}
+		pq = append(pq, nil)
+	}
+	slabs := (n + slabSize - 1) / slabSize
+	fn := func() {}
+	allocs := testing.AllocsPerRun(5, func() {
+		e := NewEngine()
+		for i := 0; i < n; i++ {
+			e.Schedule(time.Duration(i)*time.Microsecond, fn)
+		}
+	})
+	// The Engine struct itself is the one extra allocation.
+	if limit := float64(1 + slabs + heapGrowth); allocs > limit {
+		t.Errorf("cold engine scheduling %d events allocates %v objects, want <= %v (%d slabs + %d heap growths + the engine)",
+			n, allocs, limit, slabs, heapGrowth)
+	}
+}
+
 // Property: events always fire in non-decreasing time order regardless of
 // scheduling order.
 func TestEngineMonotoneProperty(t *testing.T) {

@@ -155,16 +155,17 @@ func (s *Server) sendRST(seg tcpkit.Segment) {
 // kernel defaults when absent or malformed.
 func parseSynOptions(raw []byte) (mss uint16, wscale uint8) {
 	mss, wscale = 536, 0
-	opts, err := tcpopt.ParseOptions(raw)
+	o, ok, err := tcpopt.FindOption(raw, tcpopt.KindMSS)
 	if err != nil {
 		return mss, wscale
 	}
-	if o, ok := tcpopt.FindOption(opts, tcpopt.KindMSS); ok {
+	if ok {
 		if v, err := tcpopt.ParseMSS(o); err == nil {
 			mss = v
 		}
 	}
-	if o, ok := tcpopt.FindOption(opts, tcpopt.KindWScale); ok {
+	// The first lookup validated the whole area, so this one cannot fail.
+	if o, ok, _ := tcpopt.FindOption(raw, tcpopt.KindWScale); ok {
 		if v, err := tcpopt.ParseWScale(o); err == nil {
 			wscale = v
 		}

@@ -225,11 +225,11 @@ func TestPuzzleOpportunisticController(t *testing.T) {
 	f.syn(9000, 5)
 	f.run(50 * time.Millisecond)
 	sa := f.peer.lastSynAck(t)
-	opts, err := tcpopt.ParseOptions(sa.Options)
+	_, ok, err := tcpopt.FindOption(sa.Options, tcpopt.KindChallenge)
 	if err != nil {
-		t.Fatalf("ParseOptions: %v", err)
+		t.Fatalf("FindOption: %v", err)
 	}
-	if _, ok := tcpopt.FindOption(opts, tcpopt.KindChallenge); ok {
+	if ok {
 		t.Error("challenge issued while queues empty (controller not opportunistic)")
 	}
 	// Queue is now full (backlog 1) → next SYN must be challenged.
@@ -239,11 +239,11 @@ func TestPuzzleOpportunisticController(t *testing.T) {
 	if sa2.DstPort != 9001 {
 		t.Fatalf("SYN-ACK for port %d, want 9001", sa2.DstPort)
 	}
-	opts2, err := tcpopt.ParseOptions(sa2.Options)
+	_, ok, err = tcpopt.FindOption(sa2.Options, tcpopt.KindChallenge)
 	if err != nil {
-		t.Fatalf("ParseOptions: %v", err)
+		t.Fatalf("FindOption: %v", err)
 	}
-	if _, ok := tcpopt.FindOption(opts2, tcpopt.KindChallenge); !ok {
+	if !ok {
 		t.Error("no challenge issued while listen queue full")
 	}
 	if f.server.ListenLen() != 1 {
@@ -254,11 +254,10 @@ func TestPuzzleOpportunisticController(t *testing.T) {
 // solveAndAck solves the challenge in sa (real crypto) and sends the ACK.
 func solveAndAck(t *testing.T, f *fixture, sa tcpkit.Segment, isn uint32) {
 	t.Helper()
-	opts, err := tcpopt.ParseOptions(sa.Options)
+	chOpt, ok, err := tcpopt.FindOption(sa.Options, tcpopt.KindChallenge)
 	if err != nil {
-		t.Fatalf("ParseOptions: %v", err)
+		t.Fatalf("FindOption: %v", err)
 	}
-	chOpt, ok := tcpopt.FindOption(opts, tcpopt.KindChallenge)
 	if !ok {
 		t.Fatal("no challenge option")
 	}
@@ -414,8 +413,7 @@ func TestPuzzleChallengeSentEvenWhenAcceptQueueFull(t *testing.T) {
 	if sa.DstPort != 9101 {
 		t.Fatal("no SYN-ACK for new SYN while accept queue full")
 	}
-	opts, _ := tcpopt.ParseOptions(sa.Options)
-	if _, ok := tcpopt.FindOption(opts, tcpopt.KindChallenge); !ok {
+	if _, ok, _ := tcpopt.FindOption(sa.Options, tcpopt.KindChallenge); !ok {
 		t.Error("SYN while accept queue full not challenged")
 	}
 }
@@ -485,8 +483,7 @@ func TestSimEngineAcceptsSimSolutions(t *testing.T) {
 	f.syn(9001, 6)
 	f.run(50 * time.Millisecond)
 	sa := f.peer.lastSynAck(t)
-	opts, _ := tcpopt.ParseOptions(sa.Options)
-	chOpt, ok := tcpopt.FindOption(opts, tcpopt.KindChallenge)
+	chOpt, ok, _ := tcpopt.FindOption(sa.Options, tcpopt.KindChallenge)
 	if !ok {
 		t.Fatal("no challenge")
 	}
@@ -540,8 +537,7 @@ func TestSysctlRetuning(t *testing.T) {
 	f.syn(9001, 6)
 	f.run(50 * time.Millisecond)
 	sa := f.peer.lastSynAck(t)
-	opts, _ := tcpopt.ParseOptions(sa.Options)
-	chOpt, ok := tcpopt.FindOption(opts, tcpopt.KindChallenge)
+	chOpt, ok, _ := tcpopt.FindOption(sa.Options, tcpopt.KindChallenge)
 	if !ok {
 		t.Fatal("no challenge")
 	}

@@ -41,23 +41,52 @@ type SolutionBlock struct {
 // true the issue timestamp is carried inside the block; otherwise the caller
 // is expected to transport it in the standard timestamps option.
 func EncodeChallenge(ch puzzle.Challenge, embedTS bool) (Option, error) {
-	if err := ch.Params.Validate(); err != nil {
+	data, err := appendChallengeBody(make([]byte, 0, 3+len(ch.Preimage)+4), ch, embedTS)
+	if err != nil {
 		return Option{}, err
 	}
+	return Option{Kind: KindChallenge, Data: data}, nil
+}
+
+// AppendChallenge appends the complete challenge options area — the 0xfc
+// option padded with NOPs to 32-bit alignment — to dst. The bytes equal
+// MarshalOptions of EncodeChallenge's option, but when dst has
+// ChallengeWireSize spare capacity nothing is allocated. On error dst is
+// returned unchanged.
+func AppendChallenge(dst []byte, ch puzzle.Challenge, embedTS bool) ([]byte, error) {
+	start := len(dst)
+	out, err := appendChallengeBody(append(dst, KindChallenge, 0), ch, embedTS)
+	if err != nil {
+		return dst, err
+	}
+	out[start+1] = uint8(len(out) - start)
+	return padNOP(out, start), nil
+}
+
+// appendChallengeBody validates ch and appends the 0xfc option body
+// (k, m, l, preimage, optional timestamp) to dst. It is the one encoder
+// both EncodeChallenge and AppendChallenge share.
+func appendChallengeBody(dst []byte, ch puzzle.Challenge, embedTS bool) ([]byte, error) {
+	if err := ch.Params.Validate(); err != nil {
+		return nil, err
+	}
 	if len(ch.Preimage) != ch.Params.SolutionBytes() {
-		return Option{}, fmt.Errorf("tcpopt: preimage %d bytes, want %d: %w",
+		return nil, fmt.Errorf("tcpopt: preimage %d bytes, want %d: %w",
 			len(ch.Preimage), ch.Params.SolutionBytes(), ErrChallengeMalformed)
 	}
-	data := make([]byte, 0, 3+len(ch.Preimage)+4)
-	data = append(data, ch.Params.K, ch.Params.M, ch.Params.L)
-	data = append(data, ch.Preimage...)
+	n := 3 + len(ch.Preimage)
 	if embedTS {
-		data = binary.BigEndian.AppendUint32(data, ch.Timestamp)
+		n += 4
 	}
-	if 2+len(data) > MaxOptionsLen {
-		return Option{}, fmt.Errorf("tcpopt: challenge block %d bytes: %w", 2+len(data), ErrTooLarge)
+	if 2+n > MaxOptionsLen {
+		return nil, fmt.Errorf("tcpopt: challenge block %d bytes: %w", 2+n, ErrTooLarge)
 	}
-	return Option{Kind: KindChallenge, Data: data}, nil
+	dst = append(dst, ch.Params.K, ch.Params.M, ch.Params.L)
+	dst = append(dst, ch.Preimage...)
+	if embedTS {
+		dst = binary.BigEndian.AppendUint32(dst, ch.Timestamp)
+	}
+	return dst, nil
 }
 
 // ParseChallenge decodes a 0xfc option.

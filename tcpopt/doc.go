@@ -33,6 +33,14 @@
 // carry the 4-byte timestamp (paper §5). Option blocks are padded with NOP
 // (0x01) options so the options area stays 32-bit aligned.
 //
+// Lookups are zero-copy: FindOption walks a raw options area in place,
+// validating it exactly as ParseOptions does, and the Data of the option it
+// returns aliases its input — the caller must not modify the area while it
+// holds the option. Encoding is append-style where it matters:
+// AppendChallenge appends the complete, NOP-padded challenge options area
+// to a caller's buffer, so a buffer sized with ChallengeWireSize is the
+// only allocation a challenged SYN-ACK needs.
+//
 // Parsing a solution block requires the current difficulty parameters
 // (k, l): the server is stateless, so it interprets incoming solutions
 // against its presently configured sysctl values.

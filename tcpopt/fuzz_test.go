@@ -9,8 +9,9 @@ import (
 
 // FuzzChallengeRoundTrip fuzzes the challenge codec constructively: every
 // valid (k, m, l) challenge must survive the full wire path — Encode →
-// MarshalOptions → ParseOptions → FindOption → ParseChallenge —
-// bit-for-bit, with and without an embedded timestamp. This is the
+// MarshalOptions → FindOption → ParseChallenge — bit-for-bit, with and
+// without an embedded timestamp, and the append-style AppendChallenge must
+// produce exactly the bytes of Encode → MarshalOptions. This is the
 // encode/decode contract the simulated kernels and the puzzlenet preamble
 // both build on; FuzzParseChallenge covers the adversarial direction.
 func FuzzChallengeRoundTrip(f *testing.F) {
@@ -34,13 +35,26 @@ func FuzzChallengeRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("MarshalOptions: %v", err)
 		}
-		opts, err := ParseOptions(raw)
+		appended, err := AppendChallenge(nil, ch, embedTS)
 		if err != nil {
-			t.Fatalf("ParseOptions: %v", err)
+			t.Fatalf("AppendChallenge: %v", err)
 		}
-		got, ok := FindOption(opts, KindChallenge)
-		if !ok {
-			t.Fatal("challenge option lost in marshal round-trip")
+		if !bytes.Equal(appended, raw) {
+			t.Fatalf("AppendChallenge %x, MarshalOptions(EncodeChallenge) %x", appended, raw)
+		}
+		// Appending after existing bytes pads relative to the appended
+		// area and leaves the prefix alone.
+		prefix := []byte{KindNOP, KindNOP, KindNOP}
+		after, err := AppendChallenge(bytes.Clone(prefix), ch, embedTS)
+		if err != nil {
+			t.Fatalf("AppendChallenge after prefix: %v", err)
+		}
+		if !bytes.Equal(after[:len(prefix)], prefix) || !bytes.Equal(after[len(prefix):], raw) {
+			t.Fatalf("AppendChallenge after prefix %x, want %x+%x", after, prefix, raw)
+		}
+		got, ok, err := FindOption(raw, KindChallenge)
+		if err != nil || !ok {
+			t.Fatalf("challenge option lost in marshal round-trip: %v, %v", ok, err)
 		}
 		dec, err := ParseChallenge(got)
 		if err != nil {
@@ -57,6 +71,49 @@ func FuzzChallengeRoundTrip(f *testing.F) {
 		}
 		if embedTS && dec.Challenge.Timestamp != ts {
 			t.Fatalf("timestamp %d, want %d", dec.Challenge.Timestamp, ts)
+		}
+	})
+}
+
+// FuzzFindOption checks the in-place lookup differentially against the
+// slice decoder on arbitrary bytes: for every kind the simulators look up,
+// FindOption must fail exactly when ParseOptions does (with the same
+// error), and otherwise return ParseOptions' first option of that kind —
+// the same bytes of the input, not a copy.
+func FuzzFindOption(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{KindMSS, 4, 0x05, 0xb4, KindWScale, 3, 7, KindNOP})
+	f.Add([]byte{KindChallenge, 11, 2, 17, 32, 1, 2, 3, 4, 0, 0, 0, 42, KindNOP})
+	f.Add([]byte{KindNOP, KindEOL, KindSolution, 2})
+	f.Add([]byte{KindMSS, 4, 0x05, 0xb4, KindMSS, 4, 0x02, 0x18, KindWScale, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		opts, perr := ParseOptions(data)
+		for _, kind := range []uint8{KindMSS, KindWScale, KindChallenge, KindSolution} {
+			got, ok, err := FindOption(data, kind)
+			if (err == nil) != (perr == nil) || (err != nil && err.Error() != perr.Error()) {
+				t.Fatalf("kind 0x%02x: FindOption error %v, ParseOptions error %v", kind, err, perr)
+			}
+			if err != nil {
+				if ok || got.Kind != 0 || got.Data != nil {
+					t.Fatalf("kind 0x%02x: FindOption returned %+v, %v alongside an error", kind, got, ok)
+				}
+				continue
+			}
+			var want Option
+			wantOK := false
+			for _, o := range opts {
+				if o.Kind == kind {
+					want, wantOK = o, true
+					break
+				}
+			}
+			if ok != wantOK || got.Kind != want.Kind || len(got.Data) != len(want.Data) {
+				t.Fatalf("kind 0x%02x: FindOption %+v, %v; ParseOptions first match %+v, %v",
+					kind, got, ok, want, wantOK)
+			}
+			if len(got.Data) > 0 && &got.Data[0] != &want.Data[0] {
+				t.Fatalf("kind 0x%02x: FindOption Data does not alias the same input bytes", kind)
+			}
 		}
 	})
 }

@@ -46,60 +46,98 @@ type Option struct {
 // stops at EOL, per RFC 793.
 func ParseOptions(b []byte) ([]Option, error) {
 	var opts []Option
-	i := 0
-	for i < len(b) {
-		kind := b[i]
-		switch kind {
-		case KindEOL:
+	for i := 0; ; {
+		o, next, err := nextOption(b, i)
+		if err != nil {
+			return nil, err
+		}
+		if next == 0 {
 			return opts, nil
-		case KindNOP:
-			i++
-			continue
 		}
-		if i+1 >= len(b) {
-			return nil, fmt.Errorf("tcpopt: option 0x%02x truncated at length byte: %w",
-				kind, ErrOptionsMalformed)
-		}
-		length := int(b[i+1])
-		if length < 2 || i+length > len(b) {
-			return nil, fmt.Errorf("tcpopt: option 0x%02x has bad length %d: %w",
-				kind, length, ErrOptionsMalformed)
-		}
-		opts = append(opts, Option{Kind: kind, Data: b[i+2 : i+length]})
-		i += length
+		opts = append(opts, o)
+		i = next
 	}
-	return opts, nil
+}
+
+// FindOption returns the first option of the given kind in the raw options
+// area b. It validates the whole area exactly as ParseOptions does — any
+// malformed option is an error, and EOL ends the area — but decodes in
+// place: the returned Data aliases b and nothing is allocated.
+func FindOption(b []byte, kind uint8) (Option, bool, error) {
+	var found Option
+	ok := false
+	for i := 0; ; {
+		o, next, err := nextOption(b, i)
+		if err != nil {
+			return Option{}, false, err
+		}
+		if next == 0 {
+			return found, ok, nil
+		}
+		if !ok && o.Kind == kind {
+			found, ok = o, true
+		}
+		i = next
+	}
+}
+
+// nextOption decodes the option at or after offset i of b, skipping NOP
+// padding. It returns next == 0 at the end of the area or at EOL, and
+// otherwise the offset just past the decoded option.
+func nextOption(b []byte, i int) (o Option, next int, err error) {
+	for i < len(b) && b[i] == KindNOP {
+		i++
+	}
+	if i >= len(b) || b[i] == KindEOL {
+		return Option{}, 0, nil
+	}
+	kind := b[i]
+	if i+1 >= len(b) {
+		return Option{}, 0, fmt.Errorf("tcpopt: option 0x%02x truncated at length byte: %w",
+			kind, ErrOptionsMalformed)
+	}
+	length := int(b[i+1])
+	if length < 2 || i+length > len(b) {
+		return Option{}, 0, fmt.Errorf("tcpopt: option 0x%02x has bad length %d: %w",
+			kind, length, ErrOptionsMalformed)
+	}
+	return Option{Kind: kind, Data: b[i+2 : i+length]}, i + length, nil
 }
 
 // MarshalOptions encodes options back-to-back and pads the area with NOPs to
 // a 32-bit boundary. It fails if the result would not fit the TCP header.
+// The output is sized up front, so a non-empty area costs one allocation.
 func MarshalOptions(opts []Option) ([]byte, error) {
-	var out []byte
+	n := 0
 	for _, o := range opts {
 		if len(o.Data) > 253 {
 			return nil, fmt.Errorf("tcpopt: option 0x%02x data %d bytes: %w",
 				o.Kind, len(o.Data), ErrOptionsMalformed)
 		}
+		n += 2 + len(o.Data)
+	}
+	n = align4(n)
+	if n > MaxOptionsLen {
+		return nil, fmt.Errorf("tcpopt: %d bytes: %w", n, ErrOptionsTooLong)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]byte, 0, n)
+	for _, o := range opts {
 		out = append(out, o.Kind, uint8(2+len(o.Data)))
 		out = append(out, o.Data...)
 	}
-	for len(out)%4 != 0 {
-		out = append(out, KindNOP)
-	}
-	if len(out) > MaxOptionsLen {
-		return nil, fmt.Errorf("tcpopt: %d bytes: %w", len(out), ErrOptionsTooLong)
-	}
-	return out, nil
+	return padNOP(out, 0), nil
 }
 
-// FindOption returns the first option of the given kind.
-func FindOption(opts []Option, kind uint8) (Option, bool) {
-	for _, o := range opts {
-		if o.Kind == kind {
-			return o, true
-		}
+// padNOP appends NOPs until the area that starts at offset start of b is
+// 32-bit aligned.
+func padNOP(b []byte, start int) []byte {
+	for (len(b)-start)%4 != 0 {
+		b = append(b, KindNOP)
 	}
-	return Option{}, false
+	return b
 }
 
 // MSSOption builds a standard Maximum Segment Size option.

@@ -92,12 +92,30 @@ func TestStandardOptionAccessors(t *testing.T) {
 }
 
 func TestFindOption(t *testing.T) {
-	opts := []Option{MSSOption(100), WScaleOption(2)}
-	if o, ok := FindOption(opts, KindWScale); !ok || o.Data[0] != 2 {
-		t.Errorf("FindOption(WScale) = %+v, %v", o, ok)
+	b, err := MarshalOptions([]Option{MSSOption(100), WScaleOption(2), WScaleOption(3)})
+	if err != nil {
+		t.Fatalf("MarshalOptions: %v", err)
 	}
-	if _, ok := FindOption(opts, KindChallenge); ok {
-		t.Error("FindOption found a challenge in plain options")
+	o, ok, err := FindOption(b, KindWScale)
+	if err != nil || !ok || o.Kind != KindWScale || len(o.Data) != 1 || o.Data[0] != 2 {
+		t.Errorf("FindOption(WScale) = %+v, %v, %v; want the first WScale (2)", o, ok, err)
+	}
+	if &o.Data[0] != &b[6] {
+		t.Error("FindOption Data does not alias the options area")
+	}
+	if _, ok, err := FindOption(b, KindChallenge); ok || err != nil {
+		t.Errorf("FindOption(Challenge) in plain options = %v, %v", ok, err)
+	}
+	// EOL ends the area: an option after it is not found, even when the
+	// bytes after EOL would not parse.
+	if _, ok, err := FindOption([]byte{KindNOP, KindEOL, KindMSS, 4, 5, 180}, KindMSS); ok || err != nil {
+		t.Errorf("FindOption past EOL = %v, %v; want not found, no error", ok, err)
+	}
+	// A malformed option anywhere in the area is an error, even after the
+	// match.
+	bad := []byte{KindMSS, 4, 0x05, 0xb4, KindWScale, 9}
+	if o, ok, err := FindOption(bad, KindMSS); !errors.Is(err, ErrOptionsMalformed) || ok || o.Data != nil {
+		t.Errorf("FindOption on malformed area = %+v, %v, %v; want zero, false, ErrOptionsMalformed", o, ok, err)
 	}
 }
 
