@@ -51,6 +51,7 @@ bench-scale:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzChallengeRoundTrip -fuzztime=10s ./tcpopt
 	$(GO) test -fuzz=FuzzFindOption -fuzztime=10s ./tcpopt
+	$(GO) test -fuzz=FuzzFIFOOrder -fuzztime=10s ./internal/netsim
 	$(GO) test -fuzz=FuzzCookieRoundTrip -fuzztime=10s ./syncookie
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=10s ./puzzlenet
 

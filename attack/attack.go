@@ -13,6 +13,14 @@
 // the simulator core. Info.Fingerprint follows the same cache-identity
 // contract as package defense: empty for the paper floods, versioned for
 // new plugins.
+//
+// A strategy that solves challenges does the work through one call,
+// BotCtx.QueueSolve: it charges the brute force to the bot CPU, which
+// runs first in, first out, and later calls back with the queued Solve
+// (the handshake and the parsed challenge) when the CPU finishes it.
+// Pass a callback bound once, a package-level function or a method value
+// stored when the strategy is built (see connflood.go and
+// replayflood.go), so queueing a solve allocates nothing.
 package attack
 
 import (
@@ -96,13 +104,15 @@ type BotCtx interface {
 	// accounts AcksSent and BelievedEstablished, then transmits the ACK.
 	SendHandshakeAck(port uint16, isn, serverISN uint32, opts []byte)
 
-	// ChargeCPU runs hash work on the bot CPU model and returns the
-	// absolute completion time.
-	ChargeCPU(hashes float64) time.Duration
+	// QueueSolve charges hashes of brute force to the bot CPU model, which
+	// runs its work first in, first out, and calls done with s when the
+	// CPU gets through it. Pass a done that is bound once — a package-level
+	// function, or a method value stored when the strategy is built — not
+	// a fresh closure: the bot keeps s and done in one queue per CPU, so
+	// the call then allocates nothing.
+	QueueSolve(hashes float64, s Solve, done func(BotCtx, Solve))
 	// CPUBacklog reports how far into the future the CPU is committed.
 	CPUBacklog() time.Duration
-	// ScheduleAt queues fn at an absolute simulation time.
-	ScheduleAt(at time.Duration, fn func())
 
 	// Metrics is the bot's measurement state.
 	Metrics() *Metrics
@@ -119,6 +129,18 @@ type SynAck struct {
 	// Challenge is the puzzle challenge option when Challenged.
 	Challenge  tcpopt.Option
 	Challenged bool
+}
+
+// Solve is one challenge queued on the bot CPU by BotCtx.QueueSolve: the
+// handshake the solution completes and the parsed challenge. It carries
+// no reference into the SYN-ACK it came from.
+type Solve struct {
+	// Port, ISN and ServerISN identify the handshake, as in SynAck.
+	Port      uint16
+	ISN       uint32
+	ServerISN uint32
+	// Block is the parsed challenge.
+	Block tcpopt.ChallengeBlock
 }
 
 // Info identifies a registered attack.

@@ -41,7 +41,7 @@ func (connFlood) OnSynAck(ctx BotCtx, sa SynAck) {
 
 // solveAndAck runs the patched-kernel path: honour the bot's solve-backlog
 // bound, charge the brute force to the CPU model, and complete the
-// handshake with the solution once the CPU gets there.
+// handshake with the solution once the CPU gets there (ackSolved).
 func solveAndAck(ctx BotCtx, sa SynAck) {
 	blk, err := tcpopt.ParseChallenge(sa.Challenge)
 	if err != nil {
@@ -52,14 +52,18 @@ func solveAndAck(ctx BotCtx, sa SynAck) {
 		return
 	}
 	hashes := sampleSolveHashes(ctx, blk)
-	done := ctx.ChargeCPU(float64(hashes))
-	ctx.ScheduleAt(done, func() {
-		ctx.Metrics().SolvesCompleted++
-		sol := solveChallenge(ctx, blk)
-		raw, err := encodeSolutionOptions(sol)
-		if err != nil {
-			return
-		}
-		ctx.SendHandshakeAck(sa.Port, sa.ISN, sa.ServerISN, raw)
-	})
+	ctx.QueueSolve(float64(hashes), Solve{
+		Port: sa.Port, ISN: sa.ISN, ServerISN: sa.ServerISN, Block: blk,
+	}, ackSolved)
+}
+
+// ackSolved completes a handshake with the solution to its challenge.
+func ackSolved(ctx BotCtx, s Solve) {
+	ctx.Metrics().SolvesCompleted++
+	sol := solveChallenge(ctx, s.Block)
+	raw, err := encodeSolutionOptions(sol)
+	if err != nil {
+		return
+	}
+	ctx.SendHandshakeAck(s.Port, s.ISN, s.ServerISN, raw)
 }

@@ -13,6 +13,9 @@ import (
 type replayFlood struct {
 	captured    *tcpkit.Segment
 	capturePend bool
+	// captureFn is r.capture bound once, so queueing the solve allocates
+	// no closure.
+	captureFn func(BotCtx, Solve)
 }
 
 var replayFloodInfo = Info{
@@ -21,7 +24,11 @@ var replayFloodInfo = Info{
 }
 
 func init() {
-	Register(replayFloodInfo, func(BotCtx) (Strategy, error) { return &replayFlood{}, nil })
+	Register(replayFloodInfo, func(BotCtx) (Strategy, error) {
+		r := &replayFlood{}
+		r.captureFn = r.capture
+		return r, nil
+	})
 }
 
 // Describe implements Strategy.
@@ -56,23 +63,28 @@ func (r *replayFlood) OnSynAck(ctx BotCtx, sa SynAck) {
 		return
 	}
 	hashes := sampleSolveHashes(ctx, blk)
-	done := ctx.ChargeCPU(float64(hashes))
-	ctx.ScheduleAt(done, func() {
-		ctx.Metrics().SolvesCompleted++
-		sol := solveChallenge(ctx, blk)
-		raw, err := encodeSolutionOptions(sol)
-		if err != nil {
-			r.capturePend = false
-			return
-		}
-		seg := tcpkit.Segment{
-			Src: ctx.Addr(), Dst: ctx.ServerAddr(),
-			SrcPort: sa.Port, DstPort: ctx.ServerPort(),
-			Seq: sa.ISN + 1, Ack: sa.ServerISN + 1,
-			Flags:   tcpkit.FlagACK,
-			Options: raw,
-		}
-		r.captured = &seg
-		ctx.EmitAttack(seg)
-	})
+	ctx.QueueSolve(float64(hashes), Solve{
+		Port: sa.Port, ISN: sa.ISN, ServerISN: sa.ServerISN, Block: blk,
+	}, r.captureFn)
+}
+
+// capture keeps the solved capture handshake's ACK for replay and sends
+// it once itself.
+func (r *replayFlood) capture(ctx BotCtx, s Solve) {
+	ctx.Metrics().SolvesCompleted++
+	sol := solveChallenge(ctx, s.Block)
+	raw, err := encodeSolutionOptions(sol)
+	if err != nil {
+		r.capturePend = false
+		return
+	}
+	seg := tcpkit.Segment{
+		Src: ctx.Addr(), Dst: ctx.ServerAddr(),
+		SrcPort: s.Port, DstPort: ctx.ServerPort(),
+		Seq: s.ISN + 1, Ack: s.ServerISN + 1,
+		Flags:   tcpkit.FlagACK,
+		Options: raw,
+	}
+	r.captured = &seg
+	ctx.EmitAttack(seg)
 }

@@ -105,6 +105,10 @@ type Bot struct {
 
 	// tickFn is b.tick bound once, so rescheduling allocates no closure.
 	tickFn func()
+	// solves is the CPU's backlog of queued solves. The CPU works first
+	// in, first out, so completions fall due in order and only the
+	// queue's head is an engine event.
+	solves *netsim.FIFO[queuedSolve]
 
 	metrics *Metrics
 }
@@ -131,6 +135,7 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 		metrics:  attack.NewMetrics(cfg.MetricBucket),
 	}
 	b.tickFn = b.tick
+	b.solves = netsim.NewFIFO(eng, b.solved)
 	strategy, err := attack.New(cfg.Attack, botCtx{b})
 	if err != nil {
 		return nil, fmt.Errorf("attacksim: %w", err)
@@ -168,6 +173,16 @@ func (b *Bot) tick() {
 	b.strategy.Tick(botCtx{b})
 	b.eng.Schedule(time.Duration(float64(time.Second)/b.cfg.Rate), b.tickFn)
 }
+
+// queuedSolve is one entry of the bot's solve backlog: what
+// attack.BotCtx.QueueSolve was given.
+type queuedSolve struct {
+	s    attack.Solve
+	done func(attack.BotCtx, attack.Solve)
+}
+
+// solved hands a solve the CPU has finished back to its strategy.
+func (b *Bot) solved(q queuedSolve) { q.done(botCtx{b}, q.s) }
 
 // Handle implements netsim.Node: filter server traffic, account deception
 // reveals, match SYN-ACKs to in-flight handshakes, and hand the result to

@@ -84,16 +84,15 @@ func (c botCtx) SendHandshakeAck(port uint16, isn, serverISN uint32, opts []byte
 	})
 }
 
-// ChargeCPU implements attack.BotCtx.
-func (c botCtx) ChargeCPU(hashes float64) time.Duration {
-	return c.b.cpu.Charge(c.b.eng.Now(), hashes)
+// QueueSolve implements attack.BotCtx: the CPU model's completion time
+// is the entry's due time in the bot's solve backlog.
+func (c botCtx) QueueSolve(hashes float64, s attack.Solve, done func(attack.BotCtx, attack.Solve)) {
+	at := c.b.cpu.Charge(c.b.eng.Now(), hashes)
+	c.b.solves.Push(at, queuedSolve{s: s, done: done})
 }
 
 // CPUBacklog implements attack.BotCtx.
 func (c botCtx) CPUBacklog() time.Duration { return c.b.cpu.Backlog(c.b.eng.Now()) }
-
-// ScheduleAt implements attack.BotCtx.
-func (c botCtx) ScheduleAt(at time.Duration, fn func()) { c.b.eng.ScheduleAt(at, fn) }
 
 // Metrics implements attack.BotCtx.
 func (c botCtx) Metrics() *attack.Metrics { return c.b.metrics }

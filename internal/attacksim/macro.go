@@ -352,10 +352,10 @@ func (f *MacroFleet) MeanCPUUtilisation(until time.Duration) []float64 {
 }
 
 // macroCtx is the attack.BotCtx facade over one source slot at a virtual
-// instant. It is a value: strategy closures capture the (slot, vt) pair,
+// instant. It is a value: a queued solve captures the (slot, vt) pair,
 // and Now() returns the later of the virtual time and the engine clock,
-// so a closure firing after its batch event sees real time exactly as a
-// per-bot closure would.
+// so a solve completing after its batch event sees real time exactly as
+// a per-bot solve would.
 type macroCtx struct {
 	f    *MacroFleet
 	slot int32
@@ -478,9 +478,11 @@ func (c macroCtx) SendHandshakeAck(port uint16, isn, serverISN uint32, opts []by
 	})
 }
 
-// ChargeCPU implements attack.BotCtx: cpumodel.CPU.Charge over a flat
-// per-slot free-at array, with busy time accumulated fleet-wide.
-func (c macroCtx) ChargeCPU(hashes float64) time.Duration {
+// QueueSolve implements attack.BotCtx: cpumodel.CPU.Charge over a flat
+// per-slot free-at array, with busy time accumulated fleet-wide, and one
+// engine event per solve, since a per-slot queue would cost state for
+// every source of the population.
+func (c macroCtx) QueueSolve(hashes float64, s attack.Solve, done func(attack.BotCtx, attack.Solve)) {
 	f := c.f
 	if f.cpuFreeAt == nil {
 		f.cpuFreeAt = make([]time.Duration, f.cfg.Sources)
@@ -492,10 +494,10 @@ func (c macroCtx) ChargeCPU(hashes float64) time.Duration {
 	}
 	dev := f.devices[int(c.slot)%len(f.devices)]
 	dur := dev.TimeFor(hashes)
-	done := start + dur
-	f.cpuBusy.AddSpan(start, done, dur.Seconds())
-	f.cpuFreeAt[c.slot] = done
-	return done
+	end := start + dur
+	f.cpuBusy.AddSpan(start, end, dur.Seconds())
+	f.cpuFreeAt[c.slot] = end
+	f.eng.ScheduleAt(end, func() { done(c, s) })
 }
 
 // CPUBacklog implements attack.BotCtx.
@@ -509,9 +511,6 @@ func (c macroCtx) CPUBacklog() time.Duration {
 	}
 	return 0
 }
-
-// ScheduleAt implements attack.BotCtx.
-func (c macroCtx) ScheduleAt(at time.Duration, fn func()) { c.f.eng.ScheduleAt(at, fn) }
 
 // Metrics implements attack.BotCtx.
 func (c macroCtx) Metrics() *attack.Metrics { return c.f.metrics }

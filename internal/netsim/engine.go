@@ -251,11 +251,25 @@ func (e *Engine) ScheduleAt(at time.Duration, fn func()) Timer {
 	if at < e.now {
 		at = e.now
 	}
+	return e.scheduleSeq(at, e.reserveSeq(), fn)
+}
+
+// reserveSeq takes the next scheduling sequence number without queueing
+// anything. An event pushed later under it with scheduleSeq sorts exactly
+// where one scheduled now would have.
+func (e *Engine) reserveSeq() uint64 {
+	seq := e.seq
+	e.seq++
+	return seq
+}
+
+// scheduleSeq queues fn at at (already clamped by the caller) under a
+// sequence number from reserveSeq.
+func (e *Engine) scheduleSeq(at time.Duration, seq uint64, fn func()) Timer {
 	ev := e.alloc()
 	ev.at = at
-	ev.seq = e.seq
+	ev.seq = seq
 	ev.fn = fn
-	e.seq++
 	e.push(ev)
 	return Timer{ev: ev, gen: ev.gen}
 }
@@ -273,12 +287,11 @@ func (e *Engine) scheduleArrival(m message) {
 	}
 	ev := e.alloc()
 	ev.at = at
-	ev.seq = e.seq
+	ev.seq = e.reserveSeq()
 	ev.kind = kindArrival
 	ev.src = m.src
 	ev.srcSeq = m.seq
 	ev.msg = m
-	e.seq++
 	e.push(ev)
 }
 
